@@ -8,8 +8,8 @@
   the *system-wide* request rate (40-byte orders), for n up to 1024.
 
 Sizes up to :data:`repro.bench.harness.SIM_SIZE_LIMIT` are packet-level
-simulations; larger sizes use the calibrated LogP model (see DESIGN.md,
-substitutions) — both sources are labelled in the output.
+simulations; larger sizes use the calibrated LogP model (see the README,
+"Substitutions") — both sources are labelled in the output.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ The harness provides:
   baselines;
 * :func:`allconcur_estimate` — the calibrated LogP-model estimate, used for
   the very large configurations (n = 512 / 1024) where packet-level
-  simulation in Python is impractical (documented substitution, DESIGN.md);
+  simulation in Python is impractical (README, "Substitutions");
 * :func:`pipeline_sweep` — throughput as a function of the round pipeline
   depth (``AllConcurConfig.pipeline_depth``), persisted to
   ``BENCH_pipeline.json`` so successive PRs have a performance trajectory
@@ -63,7 +63,7 @@ __all__ = [
 PAPER_TABLE3_SIZES = (6, 8, 11, 16, 22, 32, 45, 64, 90, 128, 256, 512, 1024)
 
 #: Largest n simulated packet-level by default; beyond it the harness uses
-#: the calibrated LogP model (see DESIGN.md, substitutions).
+#: the calibrated LogP model (see the README, "Substitutions").
 SIM_SIZE_LIMIT = 128
 
 _overlay_cache: dict[tuple[int, Optional[int]], Digraph] = {}

@@ -388,6 +388,25 @@ class AllConcurServer:
         self._dispatch(src, message, effects)
         return effects
 
+    def knows_broadcast(self, round_no: int, origin: int) -> bool:
+        """True when a ``<BCAST>`` of *origin* for *round_no* would be
+        handled without reading its payload: the round is inside the window
+        and is either completed or already holds *origin*'s message (or
+        *origin* is not a member of it).
+
+        A binding may then hand :meth:`handle_message` an empty payload
+        instead of decoding the received one; the effects and the later
+        state are the same (the line-15 own-broadcast reaction still
+        fires).  Pure query: no state changes.
+        """
+        if round_no > self._window_hi:
+            return False            # buffered with its payload
+        if round_no < self.round:
+            return True
+        ctx = self._contexts[round_no]
+        return bool(ctx.known_mask >> origin & 1
+                    or not ctx.member_mask >> origin & 1)
+
     def _dispatch(self, src: int, message: Message, effects: list[Effect]) -> None:
         rnd = message.round
         if rnd > self._window_hi:

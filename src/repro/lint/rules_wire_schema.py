@@ -55,6 +55,10 @@ _BATCH_FLATTEN = {"count": "payload", "nbytes": "payload",
                   "rows": "payload", "requests": "payload"}
 
 
+#: decoded-record class suffix: ``BroadcastHeader`` stands for ``Broadcast``
+_HEADER_SUFFIX = "Header"
+
+
 def _norm(name: str) -> str:
     return _NORMALIZE.get(name, name)
 
@@ -136,11 +140,27 @@ def _binary_decode_fields(program: Program, module: str,
     """Per-kind decode fields (tuple unpack of the envelope parameter,
     or ``env[i]`` positional reads), the kind -> constructed message
     class map, and the request-row kwargs of the
-    ``__dict__.update(origin=..., seq=...)`` fast path."""
+    ``__dict__.update(origin=..., seq=...)`` fast path (searched in every
+    function of the module: the batch may be built apart from the
+    envelope dispatch).
+
+    A kind branch that returns a ``<Class>Header(...)`` record — the
+    frame's fixed fields, its payload decoded later — joins ``<Class>``,
+    exactly as a branch returning ``sender, <Class>(...)`` does."""
     kinds: dict[str, list[str]] = {}
     classes: dict[str, str] = {}
     row: Optional[list[str]] = None
     for fn in _module_functions(program, module):
+        for node in _body_walk(fn.node):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "update" \
+                    and isinstance(node.func.value, ast.Attribute) \
+                    and node.func.value.attr == "__dict__":
+                kwargs = [kw.arg for kw in node.keywords
+                          if kw.arg is not None]
+                if "seq" in kwargs:
+                    row = [_norm(k) for k in kwargs]
         tests = [node for node in _body_walk(fn.node)
                  if isinstance(node, ast.If)
                  and isinstance(node.test, ast.Compare)
@@ -181,15 +201,12 @@ def _binary_decode_fields(program: Program, module: str,
                     cls = dotted_name(node.value.elts[1].func)
                     if cls is not None:
                         classes[kind] = cls.rsplit(".", 1)[-1]
-                if isinstance(node, ast.Call) \
-                        and isinstance(node.func, ast.Attribute) \
-                        and node.func.attr == "update" \
-                        and isinstance(node.func.value, ast.Attribute) \
-                        and node.func.value.attr == "__dict__":
-                    kwargs = [kw.arg for kw in node.keywords
-                              if kw.arg is not None]
-                    if "seq" in kwargs:
-                        row = [_norm(k) for k in kwargs]
+                elif isinstance(node, ast.Return) \
+                        and isinstance(node.value, ast.Call):
+                    cls = dotted_name(node.value.func)
+                    if cls is not None and cls.endswith(_HEADER_SUFFIX):
+                        classes[kind] = \
+                            cls.rsplit(".", 1)[-1][:-len(_HEADER_SUFFIX)]
             if fields is None and indices:
                 fields = [f"?{i}" for i in sorted(indices)]
             if fields is not None:

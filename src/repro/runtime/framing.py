@@ -4,8 +4,9 @@ The original AllConcur is a C program speaking raw TCP (or InfiniBand
 Verbs); this runtime speaks length-prefixed JSON over TCP sockets on
 localhost, which is more than enough to demonstrate the deployment path of
 the very same protocol core that the simulator exercises (the Python
-runtime obviously cannot reach the paper's absolute throughput — see
-DESIGN.md, substitutions).
+runtime obviously cannot reach the paper's absolute throughput — see the
+README, "Substitutions"; the binary codec that replaced this format on
+the hot path is described under "Wire format & multi-process runtime").
 
 Frame layout: ``4-byte big-endian length`` followed by a UTF-8 JSON object
 with a ``"type"`` discriminator.

@@ -9,9 +9,13 @@ failure detector of §3.2 (period ``Δhb``, timeout ``Δto``): every node
 heartbeats its successors and suspects a predecessor after ``Δto`` of
 silence.
 
-The runtime exists to demonstrate that the same sans-IO core that the
-simulator exercises deploys unchanged over real sockets; it is not a
-performance vehicle (see DESIGN.md).
+The same sans-IO core that the simulator exercises deploys unchanged over
+real sockets.  With the binary codec a received ``<BCAST>`` is decoded only
+up to its header: the core is asked whether it already knows the message
+(:meth:`~repro.core.server.AllConcurServer.knows_broadcast`), duplicates
+are fed to it with an empty payload, and a message it forwards is relayed
+with the received batch bytes (README, "Wire format & multi-process
+runtime").
 """
 
 from __future__ import annotations
@@ -24,12 +28,15 @@ from typing import Callable, Optional
 from ..core.batching import Batch, Request
 from ..core.config import AllConcurConfig
 from ..core.interfaces import Deliver, Effect, RoundAdvance, Send
-from ..core.messages import Backward, Message
+from ..core.messages import Backward, Broadcast, Message
 from ..core.server import AllConcurServer
 from .framing import canonical_payload
-from .wire import DecodedFrame, WireCodec, get_codec
+from .wire import BroadcastHeader, DecodedFrame, WireCodec, get_codec
 
 __all__ = ["RuntimeNode", "NodeAddress", "DeliveredRound"]
+
+#: payload handed to the core for a broadcast it already knows
+_KNOWN_PAYLOAD = Batch.empty()
 
 
 @dataclass(frozen=True)
@@ -106,6 +113,12 @@ class RuntimeNode:
         self._tasks: list[asyncio.Task[None]] = []
         self._lock = asyncio.Lock()
         self._stopped = asyncio.Event()
+        #: set on every delivery; wakes :meth:`wait_for_round`
+        self._progress = asyncio.Event()
+        #: the broadcast being handled and its received header, set only
+        #: inside one synchronous locked section: a ``Send`` of exactly
+        #: that message is relayed with the received bytes
+        self._relay: Optional[tuple[Message, BroadcastHeader]] = None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -253,14 +266,20 @@ class RuntimeNode:
 
     async def wait_for_round(self, round_no: int, *,
                              timeout: float = 30.0) -> DeliveredRound:
-        """Wait until the node has delivered *round_no* (0-based)."""
+        """Wait until the node has delivered *round_no* (0-based); woken
+        by each delivery, not by polling."""
         deadline = time.monotonic() + timeout
         while len(self.delivered) <= round_no:
-            if time.monotonic() > deadline:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
                 raise TimeoutError(
                     f"server {self.id} did not deliver round {round_no} "
                     f"within {timeout}s")
-            await asyncio.sleep(0.005)
+            self._progress.clear()
+            try:
+                await asyncio.wait_for(self._progress.wait(), remaining)
+            except asyncio.TimeoutError:
+                pass
         return self.delivered[round_no]
 
     # ------------------------------------------------------------------ #
@@ -340,10 +359,34 @@ class RuntimeNode:
                 self._last_heard[int(item["from"])] = time.monotonic()
                 return
             raise ValueError(f"unknown control frame {item.get('type')!r}")
+        if isinstance(item, BroadcastHeader):
+            self._last_heard[item.sender] = time.monotonic()
+            async with self._lock:
+                self._handle_broadcast(item)
+            return
         sender, message = item
         self._last_heard[sender] = time.monotonic()
         async with self._lock:
             self._execute(self.server.handle_message(sender, message))
+
+    def _handle_broadcast(self, header: BroadcastHeader) -> None:
+        """Feed a binary broadcast to the core (called under the lock).
+
+        A message the core already knows gets the shared empty payload —
+        its batch is never decoded.  Otherwise the batch is decoded once,
+        and a forward of that very message reuses the received bytes."""
+        server = self.server
+        if server.knows_broadcast(header.round, header.origin):
+            self._execute(server.handle_message(header.sender, Broadcast(
+                round=header.round, origin=header.origin,
+                payload=_KNOWN_PAYLOAD)))
+            return
+        message = header.message()
+        self._relay = (message, header)
+        try:
+            self._execute(server.handle_message(header.sender, message))
+        finally:
+            self._relay = None
 
     # ------------------------------------------------------------------ #
     # Effects
@@ -361,13 +404,18 @@ class RuntimeNode:
                     round=effect.round, messages=effect.messages,
                     removed=effect.removed, wall_time=time.monotonic())
                 self.delivered.append(record)
+                self._progress.set()
                 for cb in self.deliver_callbacks:
                     cb(record)
             elif isinstance(effect, RoundAdvance):
                 continue
 
     def _send_effect(self, effect: Send) -> None:
-        frame = self.codec.encode_message(self.id, effect.message)
+        relay = self._relay
+        if relay is not None and effect.message is relay[0]:
+            frame = self.codec.encode_relay(self.id, relay[1])
+        else:
+            frame = self.codec.encode_message(self.id, effect.message)
         for target in effect.targets:
             self._enqueue_frame(target, frame)
 

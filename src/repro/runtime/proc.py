@@ -76,10 +76,14 @@ __all__ = ["ProcessCluster"]
 
 def _batch_digest(batch: Batch) -> str:
     """Deterministic 64-bit digest of a batch (stable across processes —
-    no dependence on PYTHONHASHSEED)."""
+    no dependence on PYTHONHASHSEED).
+
+    Marshal format version 2 writes neither back-references nor interned
+    tags, so equal batches give equal bytes whatever objects they share
+    (the default version's output depends on refcounts and interning)."""
     rows = tuple((r.origin, r.seq, r.nbytes, r.submit_time, r.data, r.client)
                  for r in batch.requests)
-    blob = marshal.dumps((batch.count, batch.nbytes, rows))
+    blob = marshal.dumps((batch.count, batch.nbytes, rows), 2)
     return hashlib.blake2b(blob, digest_size=8).hexdigest()
 
 

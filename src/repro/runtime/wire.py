@@ -13,10 +13,9 @@ Two codecs are registered:
 
         4-byte big-endian body length | 1-byte wire version | envelope
 
-    The envelope is a flat tuple — ``(kind, sender, round, ...)`` with
-    batches as tuples of ``(origin, seq, nbytes, submit_time, data,
-    client)`` request rows — serialised with :mod:`marshal`, CPython's
-    C-speed codec for exactly the value shapes the runtime carries
+    The envelope is a flat tuple — ``(kind, sender, round, ...)`` —
+    serialised with :mod:`marshal`, CPython's C-speed codec for exactly
+    the value shapes the runtime carries
     (payload ``data`` is always a canonical JSON value, enforced at the
     submit boundary by :func:`.framing.canonical_payload`).  The envelope
     idiom follows msgpack-style consensus transports (flat tagged tuples,
@@ -27,6 +26,20 @@ Two codecs are registered:
     marshal's same-interpreter format assumption holds; the version byte
     exists to fail loudly if that ever changes.
 
+    A ``<BCAST>`` envelope is ``(kind, sender, round, origin, count,
+    nbytes, rows)`` where ``rows`` is itself the marshal image of the
+    batch's ``(origin, seq, nbytes, submit_time, data, client)`` request
+    rows.  Decoding the envelope therefore yields one opaque ``bytes``
+    object instead of a tree of per-request containers: the decoder emits
+    a :class:`BroadcastHeader`, the receiver asks its protocol core
+    whether it already knows ``(round, origin)`` — every server receives
+    each message from all of its predecessors, and only the first copy
+    carries information — and only then builds the batch
+    (:func:`decode_batch`).  A message the core forwards is re-framed
+    with the received ``rows`` bytes verbatim
+    (:meth:`BinaryCodec.encode_relay`); only the ``sender`` field
+    changes on a relay hop.
+
 ``"json"``
     The original length-prefixed JSON image, byte-identical to what the
     runtime spoke before the binary plane existed.  Kept as the
@@ -34,11 +47,13 @@ Two codecs are registered:
     cluster scenario under both codecs and assert identical delivered
     orders and application end states.
 
-Decoded items are either ``(sender, Message)`` tuples (protocol traffic)
-or plain dicts (control frames — heartbeats).  Decoders are incremental
-and hardened: truncated frames wait for more bytes, an oversized length
-prefix raises before any body is buffered, and a garbage version byte or
-undecodable envelope raises :class:`ValueError` instead of crashing the
+Decoded items are ``(sender, Message)`` tuples (protocol traffic),
+:class:`BroadcastHeader` records (binary ``<BCAST>`` frames, batch not yet
+built) or plain dicts (control frames — heartbeats).  Decoders are
+incremental and hardened: truncated frames wait for more bytes, an
+oversized length prefix raises before any body is buffered, and a garbage
+version byte or undecodable envelope raises :class:`ValueError` (so does
+:func:`decode_batch` on malformed rows) instead of crashing the
 connection handler with an arbitrary exception.
 """
 
@@ -46,7 +61,7 @@ from __future__ import annotations
 
 import marshal
 import struct
-from typing import Any, Union, cast
+from typing import Any, NamedTuple, Union, cast
 
 from ..core.batching import Batch, Request
 from ..core.messages import Backward, Broadcast, FailureNotice, Forward, Message
@@ -59,11 +74,12 @@ from .framing import (
 )
 
 __all__ = ["WIRE_VERSION", "WireCodec", "JsonCodec", "BinaryCodec",
-           "get_codec", "CODECS", "DecodedFrame"]
+           "get_codec", "CODECS", "DecodedFrame", "BroadcastHeader",
+           "decode_batch"]
 
 #: Version byte leading every binary frame body.  Bumped whenever the
 #: envelope layout changes; a decoder that sees any other value raises.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 _LEN = struct.Struct(">I")
 _VERSION_BYTE = bytes([WIRE_VERSION])
@@ -79,8 +95,33 @@ _K_CONTROL = 4
 #: else (``"heartbeat"``) is a control frame and passes through as a dict.
 _JSON_PROTOCOL_KINDS = frozenset({"bcast", "fail", "fwd", "bwd"})
 
-#: One decoded frame: protocol traffic or a control dict.
-DecodedFrame = Union[tuple[int, Message], dict[str, Any]]
+
+class BroadcastHeader(NamedTuple):
+    """A decoded binary ``<BCAST>`` frame whose batch is not built yet.
+
+    ``rows`` is the marshal image of the batch's request rows, exactly as
+    received; :meth:`message` (or :func:`decode_batch`) builds the batch,
+    and :meth:`BinaryCodec.encode_relay` forwards the bytes unchanged.
+    """
+
+    sender: int
+    round: int
+    origin: int
+    count: int
+    nbytes: int
+    rows: bytes
+
+    def message(self) -> Broadcast:
+        """The full :class:`~repro.core.messages.Broadcast` (decodes the
+        batch; raises :class:`ValueError` on a malformed ``rows`` blob)."""
+        return Broadcast(round=self.round, origin=self.origin,
+                         payload=decode_batch(self.count, self.nbytes,
+                                              self.rows))
+
+
+#: One decoded frame: protocol traffic, a binary broadcast header, or a
+#: control dict.
+DecodedFrame = Union[tuple[int, Message], BroadcastHeader, dict[str, Any]]
 
 
 class WireCodec:
@@ -100,6 +141,11 @@ class WireCodec:
 
     def encode_control(self, obj: dict[str, Any]) -> bytes:
         """One control frame (e.g. a heartbeat) as a complete frame."""
+        raise NotImplementedError
+
+    def encode_relay(self, sender: int, header: BroadcastHeader) -> bytes:
+        """A received broadcast re-framed from *sender* (only codecs whose
+        decoder yields :class:`BroadcastHeader` records implement it)."""
         raise NotImplementedError
 
     def decoder(self, *,
@@ -207,23 +253,10 @@ def _decode_envelope(env: Any) -> DecodedFrame:
     kind = env[0]
     if kind == _K_BCAST:
         _k, sender, rnd, origin, count, nbytes, rows = env
-        new = object.__new__
-        requests: tuple[Request, ...]
-        if rows:
-            decoded: list[Request] = []
-            append = decoded.append
-            for o, s, nb, st, d, c in rows:
-                request = new(Request)
-                request.__dict__.update(
-                    origin=o, seq=s, nbytes=nb, submit_time=st,
-                    data=d, client=c)
-                append(request)
-            requests = tuple(decoded)
-        else:
-            requests = ()
-        batch = new(Batch)
-        batch.__dict__.update(count=count, nbytes=nbytes, requests=requests)
-        return sender, Broadcast(round=rnd, origin=origin, payload=batch)
+        if type(rows) is not bytes:
+            raise ValueError(f"BCAST rows must be bytes, got "
+                             f"{type(rows).__name__}")
+        return BroadcastHeader(sender, rnd, origin, count, nbytes, rows)
     if kind == _K_FAIL:
         _k, sender, rnd, failed, reporter = env
         return sender, FailureNotice(round=rnd, failed=failed,
@@ -242,6 +275,36 @@ def _decode_envelope(env: Any) -> DecodedFrame:
     raise ValueError(f"unknown envelope kind {kind!r}")
 
 
+def decode_batch(count: int, nbytes: int, rows: bytes) -> Batch:
+    """Build the :class:`~repro.core.batching.Batch` of a broadcast from
+    its wire fields.
+
+    Request rows are rebuilt through a fast-construction path that
+    bypasses the frozen-dataclass ``__init__`` (the wire already carries
+    the batch's ``count``/``nbytes``, so the ``__post_init__``
+    re-aggregation is skipped too).  A malformed ``rows`` blob raises
+    :class:`ValueError`.
+    """
+    new = object.__new__
+    requests: tuple[Request, ...] = ()
+    if rows:
+        decoded: list[Request] = []
+        append = decoded.append
+        try:
+            for o, s, nb, st, d, c in marshal.loads(rows):
+                request = new(Request)
+                request.__dict__.update(
+                    origin=o, seq=s, nbytes=nb, submit_time=st,
+                    data=d, client=c)
+                append(request)
+        except (ValueError, EOFError, TypeError) as exc:
+            raise ValueError(f"undecodable batch rows: {exc}") from None
+        requests = tuple(decoded)
+    batch = new(Batch)
+    batch.__dict__.update(count=count, nbytes=nbytes, requests=requests)
+    return batch
+
+
 def _frame(envelope: tuple[Any, ...]) -> bytes:
     body = _VERSION_BYTE + marshal.dumps(envelope)
     if len(body) > MAX_FRAME_BYTES:
@@ -254,11 +317,9 @@ class BinaryCodec(WireCodec):
 
     Several times faster than :class:`JsonCodec` in both directions: the
     encoder packs flat tuples straight from the message objects (no
-    intermediate dict tree, no number-to-string conversion) and the
-    decoder rebuilds :class:`~repro.core.batching.Request` rows through a
-    fast-construction path that bypasses the frozen-dataclass ``__init__``
-    (the wire already carries the batch's ``count``/``nbytes``, so the
-    ``__post_init__`` re-aggregation is skipped too).
+    intermediate dict tree, no number-to-string conversion), the decoder
+    stops at a :class:`BroadcastHeader` for broadcasts, and a relayed
+    broadcast is re-framed from its received bytes.
     """
 
     name = "binary"
@@ -270,9 +331,9 @@ class BinaryCodec(WireCodec):
         if t is Broadcast:
             bcast = cast(Broadcast, message)
             batch = bcast.payload
-            rows = tuple(
+            rows = marshal.dumps(tuple(
                 (r.origin, r.seq, r.nbytes, r.submit_time, r.data, r.client)
-                for r in batch.requests)
+                for r in batch.requests)) if batch.requests else b""
             return _frame((_K_BCAST, sender, bcast.round, bcast.origin,
                            batch.count, batch.nbytes, rows))
         if t is FailureNotice:
@@ -289,6 +350,12 @@ class BinaryCodec(WireCodec):
 
     def encode_control(self, obj: dict[str, Any]) -> bytes:
         return _frame((_K_CONTROL, obj))
+
+    def encode_relay(self, sender: int, header: BroadcastHeader) -> bytes:
+        """Forward a received broadcast from *sender*: the ``rows`` bytes
+        are re-framed verbatim, no request is re-encoded."""
+        return _frame((_K_BCAST, sender, header.round, header.origin,
+                       header.count, header.nbytes, header.rows))
 
     def decoder(self, *, max_frame_bytes: int = MAX_FRAME_BYTES
                 ) -> _BinaryMessageDecoder:

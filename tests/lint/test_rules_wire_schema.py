@@ -145,6 +145,45 @@ class TestBinaryParity:
         assert "request row encodes (origin, seq, data)" in finding.message
         assert "decodes (origin, seq)" in finding.message
 
+    def test_request_row_mismatch_in_a_separate_batch_decoder(self, lint):
+        # the rows are built apart from the envelope dispatch (a header
+        # is decoded first, the batch on demand): still compared
+        findings = lint_wire(lint, """
+            WIRE_VERSION = 1
+
+            _K_BATCH = 1
+
+
+            def _frame(parts):
+                return repr(parts).encode()
+
+
+            def encode_batch(batch):
+                rows = tuple((r.origin, r.seq, r.data)
+                             for r in batch.rows)
+                return _frame((_K_BATCH, batch.sender, rows))
+
+
+            def decode(env):
+                if env[0] == _K_BATCH:
+                    _k, sender, rows = env
+                    return BatchHeader(sender, rows)
+                raise ValueError(env)
+
+
+            def decode_rows(rows):
+                out = []
+                for row in rows:
+                    req = Request()
+                    req.__dict__.update(origin=row[0], seq=row[1])
+                    out.append(req)
+                return out
+        """)
+        assert rule_ids(w601(findings)) == ["W601"]
+        finding = w601(findings)[0]
+        assert "request row encodes (origin, seq, data)" in finding.message
+        assert "decodes (origin, seq)" in finding.message
+
 
 def _tree(tmp_path, **files):
     """A tmp package tree under repro/runtime (so policy scoping sees
@@ -291,6 +330,37 @@ class TestJsonAndCrossPlane:
         assert rule_ids(findings) == ["W601"]
         (finding,) = findings
         assert "cross-plane drift for Forward" in finding.message
+        assert "origin" in finding.message
+
+    def test_header_record_joins_its_message_class(self, tmp_path):
+        # a decode branch returning a BroadcastHeader record (payload
+        # decoded later) is joined to the JSON Broadcast envelope, so a
+        # binary-only origin field is still cross-plane drift
+        tree = _tree(tmp_path, fixwire="""
+            WIRE_VERSION = 1
+
+            _K_BCAST = 1
+
+
+            def _frame(parts):
+                return repr(parts).encode()
+
+
+            def encode_broadcast(msg, rows):
+                return _frame((_K_BCAST, msg.sender, msg.round,
+                               msg.origin, rows))
+
+
+            def decode(env):
+                if env[0] == _K_BCAST:
+                    _k, sender, rnd, origin, rows = env
+                    return BroadcastHeader(sender, rnd, origin, rows)
+                raise ValueError(env)
+        """, fixframing=CLEAN_FRAMING)
+        findings = lint_paths([str(tree)])
+        assert rule_ids(findings) == ["W601"]
+        (finding,) = findings
+        assert "cross-plane drift for Broadcast" in finding.message
         assert "origin" in finding.message
 
 

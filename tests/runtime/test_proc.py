@@ -7,14 +7,17 @@ RPCs, bulk submission, digest reporting, start-method selection, and the
 """
 
 import asyncio
+import marshal
 import multiprocessing
+import sys
 
 import pytest
 
 from repro.api import create_deployment
-from repro.core import Request
+from repro.core import Batch, Request
 from repro.graphs import gs_digraph
 from repro.runtime import ProcessCluster
+from repro.runtime.proc import _batch_digest
 
 
 def run(coro):
@@ -174,3 +177,28 @@ class TestProcessFacade:
     def test_unknown_runtime_rejected(self):
         with pytest.raises(ValueError, match="unknown runtime"):
             create_deployment("tcp", gs_digraph(6, 3), runtime="threads")
+
+
+class TestBatchDigest:
+    def test_equal_batches_digest_equal_whatever_they_share(self):
+        """The digest is a function of the batch's value: sharing one
+        string object twice, or holding an interned client id, must not
+        change it (both change the default marshal image)."""
+        word = "".join(["ke", "y1"])
+        client = sys.intern("user-1")
+        shared = Batch.of([Request(origin=0, seq=0, data=[word, word],
+                                   client=client)])
+        copies = Batch.of([Request(origin=0, seq=0,
+                                   data=["".join(["ke", "y1"]),
+                                         "".join(["k", "ey1"])],
+                                   client="".join(["user", "-1"]))])
+        assert shared == copies
+        # precondition: the default marshal version tells them apart
+        assert marshal.dumps(shared.requests[0].data) \
+            != marshal.dumps(copies.requests[0].data)
+        assert _batch_digest(shared) == _batch_digest(copies)
+
+    def test_different_batches_digest_differently(self):
+        a = Batch.of([Request(origin=0, seq=0, data="x")])
+        b = Batch.of([Request(origin=0, seq=1, data="x")])
+        assert _batch_digest(a) != _batch_digest(b)

@@ -106,6 +106,48 @@ class TestLocalCluster:
 
         asyncio.run(scenario())
 
+    def test_each_broadcast_decoded_once_and_relayed_verbatim(
+            self, monkeypatch):
+        """Failure-free GS(8,3): of the n·d copies of each round's
+        messages a node receives, only the n−1 new ones have their batch
+        decoded, and every forward re-frames the received bytes — one
+        fresh encode per node per round."""
+        from repro.runtime import wire
+
+        counts = {"decode": 0, "encode": 0, "relay": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(wire, "decode_batch",
+                            counted("decode", wire.decode_batch))
+        monkeypatch.setattr(wire.BinaryCodec, "encode_message",
+                            counted("encode", wire.BinaryCodec.encode_message))
+        monkeypatch.setattr(wire.BinaryCodec, "encode_relay",
+                            counted("relay", wire.BinaryCodec.encode_relay))
+
+        async def scenario():
+            graph = gs_digraph(8, 3)
+            async with LocalCluster(graph,
+                                    enable_failure_detector=False) as cluster:
+                for rnd in range(3):
+                    for pid in range(8):
+                        await cluster.submit(pid, {"r": rnd, "p": pid})
+                    await cluster.run_rounds(1, timeout=20)
+                assert cluster.agreement_holds()
+                record = cluster.nodes[7].delivered[2]
+                return sorted(req.data["p"] for _o, b in record.messages
+                              for req in b.requests)
+
+        assert asyncio.run(scenario()) == list(range(8))
+        rounds, n = 3, 8
+        assert counts == {"decode": rounds * n * (n - 1),
+                          "encode": rounds * n,
+                          "relay": rounds * n * (n - 1)}
+
     def test_deliver_callback_invoked(self):
         async def scenario():
             graph = gs_digraph(6, 3)

@@ -5,11 +5,13 @@ image without changing what the protocol agrees on:
 
 1. property-based round trips — every message the runtime can send decodes
    back to an equal message under BOTH codecs, for arbitrary canonical
-   payload data (Hypothesis generates the JSON value space);
+   payload data (Hypothesis generates the JSON value space); a binary
+   broadcast compares after its batch is built from the decoded header,
+   and a relayed frame decodes equal to a fresh encode by the relayer;
 2. decoder hardening — truncated frames wait, oversized length prefixes
-   raise before buffering, garbage version bytes and undecodable envelopes
-   raise :class:`ValueError`, and a frame stream chopped at *every* byte
-   boundary still decodes to the same items;
+   raise before buffering, garbage version bytes, undecodable envelopes
+   and malformed batch rows raise :class:`ValueError`, and a frame stream
+   chopped at *every* byte boundary still decodes to the same items;
 3. cross-codec equivalence — the same cluster scenario under ``codec="json"``
    and ``codec="binary"`` produces byte-different frames but identical
    delivered orders and payloads (the differential-oracle argument).
@@ -17,6 +19,7 @@ image without changing what the protocol agrees on:
 
 import asyncio
 import json
+import marshal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,9 +40,22 @@ from repro.runtime import (
     get_codec,
 )
 from repro.runtime.framing import canonical_payload
-from repro.runtime.wire import WIRE_VERSION, CODECS
+from repro.runtime.wire import (
+    CODECS,
+    WIRE_VERSION,
+    BroadcastHeader,
+    decode_batch,
+)
 
 CODEC_NAMES = sorted(CODECS)
+
+
+def full(items):
+    """Decoded items with every binary broadcast header built into its
+    ``(sender, Broadcast)`` message."""
+    return [(item.sender, item.message())
+            if isinstance(item, BroadcastHeader) else item
+            for item in items]
 
 # Canonical JSON values — exactly what survives the submit boundary
 # (canonical_payload), so exactly what a wire codec must carry.
@@ -90,7 +106,7 @@ class TestCodecRoundTrip:
         codec = get_codec(name)
         frame = codec.encode_message(sender, message)
         items = codec.decoder().feed(frame)
-        assert items == [(sender, message)]
+        assert full(items) == [(sender, message)]
 
     @pytest.mark.parametrize("name", CODEC_NAMES)
     @given(message=messages(), sender=st.integers(0, 31),
@@ -103,7 +119,7 @@ class TestCodecRoundTrip:
         cut = min(cut, len(frame))
         decoder = codec.decoder()
         items = decoder.feed(frame[:cut]) + decoder.feed(frame[cut:])
-        assert items == [(sender, message)]
+        assert full(items) == [(sender, message)]
         assert decoder.pending_bytes == 0
 
     @pytest.mark.parametrize("name", CODEC_NAMES)
@@ -122,7 +138,7 @@ class TestCodecRoundTrip:
                   + codec.encode_message(1, Broadcast(round=0, origin=1,
                                                       payload=batch))
                   + codec.encode_message(2, Forward(round=0, origin=1)))
-        items = codec.decoder().feed(stream)
+        items = full(codec.decoder().feed(stream))
         assert items[0] == {"type": "heartbeat", "from": 1}
         assert items[1][0] == 1 and isinstance(items[1][1], Broadcast)
         assert items[2] == (2, Forward(round=0, origin=1))
@@ -151,8 +167,36 @@ class TestCodecRoundTrip:
         for name in CODEC_NAMES:
             codec = get_codec(name)
             frame = codec.encode_message(sender, message)
-            (decoded[name],) = codec.decoder().feed(frame)
+            (decoded[name],) = full(codec.decoder().feed(frame))
         assert decoded["binary"] == decoded["json"]
+
+
+class TestBinaryBroadcastHeader:
+    """The binary decoder stops at the header of a broadcast; the batch is
+    built on demand and a relay reuses the received bytes."""
+
+    @given(message=messages().filter(lambda m: isinstance(m, Broadcast)),
+           sender=st.integers(0, 31), relayer=st.integers(0, 31))
+    @settings(max_examples=60, deadline=None)
+    def test_relayed_frame_equals_fresh_encode(self, message, sender,
+                                               relayer):
+        codec = BinaryCodec()
+        (header,) = codec.decoder().feed(
+            codec.encode_message(sender, message))
+        assert isinstance(header, BroadcastHeader)
+        assert (header.sender, header.round, header.origin) == (
+            sender, message.round, message.origin)
+        relayed = codec.encode_relay(relayer, header)
+        fresh = codec.encode_message(relayer, message)
+        assert full(codec.decoder().feed(relayed)) == \
+            full(codec.decoder().feed(fresh)) == [(relayer, message)]
+
+    def test_synthetic_batch_carries_no_rows(self):
+        codec = BinaryCodec()
+        (header,) = codec.decoder().feed(codec.encode_message(
+            1, Broadcast(round=0, origin=1, payload=Batch.synthetic(5, 8))))
+        assert header.rows == b""
+        assert header.message().payload == Batch.synthetic(5, 8)
 
 
 class TestBinaryDecoderHardening:
@@ -213,14 +257,29 @@ class TestBinaryDecoderHardening:
             BinaryCodec().decoder().feed(frame)
 
     def test_unknown_envelope_kind(self):
-        import marshal
         body = bytes([WIRE_VERSION]) + marshal.dumps((99, 1, 2))
         frame = len(body).to_bytes(4, "big") + body
         with pytest.raises(ValueError, match="unknown envelope kind"):
             BinaryCodec().decoder().feed(frame)
 
+    def test_non_bytes_rows_rejected_at_decode(self):
+        rows = ((0, 0, 8, 0.0, None, None),)
+        body = bytes([WIRE_VERSION]) + marshal.dumps(
+            (0, 3, 0, 0, 1, 8, rows))
+        frame = len(body).to_bytes(4, "big") + body
+        with pytest.raises(ValueError, match="rows must be bytes"):
+            BinaryCodec().decoder().feed(frame)
+
+    @pytest.mark.parametrize("rows", [
+        b"\xff\xfe\xfd garbage",           # not a marshal image
+        marshal.dumps(7),                   # not a sequence of rows
+        marshal.dumps(((1, 2),)),           # a row of the wrong arity
+    ])
+    def test_garbage_rows_blob_rejected_by_decode_batch(self, rows):
+        with pytest.raises(ValueError, match="undecodable batch rows"):
+            decode_batch(1, 8, rows)
+
     def test_malformed_control_frame(self):
-        import marshal
         body = bytes([WIRE_VERSION]) + marshal.dumps((4, "not-a-dict"))
         frame = len(body).to_bytes(4, "big") + body
         with pytest.raises(ValueError, match="control frame"):
